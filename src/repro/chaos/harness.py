@@ -30,8 +30,9 @@ from repro.chaos.invariants import InvariantReport, check_store
 from repro.chaos.policy import OpOutcome, RetryPolicy, RobustProxy
 from repro.chaos.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.core.interface import DataLossError, KVStore
-from repro.sim.closedloop import OpDemand
 from repro.sim.events import EventQueue
+from repro.sim.params import HardwareProfile
+from repro.sim.resources import Resource
 from repro.workloads.ycsb import WorkloadSpec, generate_requests
 
 
@@ -163,6 +164,57 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+def closed_loop_throughput(
+    demands: list[tuple[float, float, float]], profile: HardwareProfile
+) -> dict[str, float]:
+    """Closed-loop throughput over per-op ``(cpu_s, nic_bytes, remote_s)``.
+
+    ``profile.client_concurrency`` clients take the ops round-robin *in list
+    order*; a client issues its next op the moment the previous one
+    completes.  Completion = proxy-CPU done, then proxy-NIC done, plus the
+    overlappable ``remote_s``; the CPU and NIC each serve one op at a time.
+    The committed heal fingerprints hash this list-order arithmetic, which is
+    why chaos keeps it rather than replaying through :mod:`repro.engine`
+    (event order).  An empty list is a zero-length run, not an error.
+    """
+    if not demands:
+        return {
+            "operations": 0,
+            "makespan_s": 0.0,
+            "throughput_ops_s": 0.0,
+            "mean_response_s": 0.0,
+            "cpu_utilisation": 0.0,
+            "nic_utilisation": 0.0,
+        }
+    c = profile.client_concurrency
+    if c < 1:
+        raise ValueError(f"concurrency must be >= 1, got {c}")
+    cpu = Resource("proxy-cpu")
+    nic = Resource("proxy-nic")
+    client_free = [0.0] * min(c, len(demands))
+    makespan = 0.0
+    total_response = 0.0
+    for i, (cpu_s, nic_bytes, remote_s) in enumerate(demands):
+        client = i % len(client_free)
+        arrival = client_free[client]
+        cpu_done = cpu.reserve(arrival, cpu_s)
+        nic_done = nic.reserve(cpu_done, nic_bytes / profile.net_bandwidth_Bps)
+        completion = nic_done + remote_s
+        client_free[client] = completion
+        total_response += completion - arrival
+        if completion > makespan:
+            makespan = completion
+    n = len(demands)
+    return {
+        "operations": n,
+        "makespan_s": makespan,
+        "throughput_ops_s": n / makespan if makespan > 0 else float("inf"),
+        "mean_response_s": total_response / n,
+        "cpu_utilisation": cpu.utilisation(makespan),
+        "nic_utilisation": nic.utilisation(makespan),
+    }
+
+
 class ChaosRun:
     """One seeded run; split from :func:`run_chaos` for testability."""
 
@@ -206,7 +258,8 @@ class ChaosRun:
         self.recoveries: list[dict] = []
         self.data_loss_events = 0
         self.outcomes: list[OpOutcome] = []
-        self.demands: list[OpDemand] = []
+        #: acked ops' ``(cpu_s, nic_bytes, remote_s)`` for :func:`closed_loop_throughput`
+        self.demands: list[tuple[float, float, float]] = []
 
     # ------------------------------------------------------------- event pump
 
@@ -416,11 +469,7 @@ class ChaosRun:
                 cpu_s = profile.rpc_overhead_s * d_rpcs
                 nic_s = d_bytes / profile.net_bandwidth_Bps
                 self.demands.append(
-                    OpDemand(
-                        cpu_s=cpu_s,
-                        nic_bytes=d_bytes,
-                        remote_s=max(0.0, outcome.service_s - cpu_s - nic_s),
-                    )
+                    (cpu_s, d_bytes, max(0.0, outcome.service_s - cpu_s - nic_s))
                 )
 
         # past-the-horizon faults never fire; pending recoveries all do, so
@@ -465,13 +514,9 @@ class ChaosRun:
             makespan_s=makespan,
         )
         if self.demands:
-            # deferred import: repro.engine.core pulls in chaos.schedule, so a
-            # module-level import here would close an import cycle
-            from repro.engine.compat import simulate_demands
-
-            cl = simulate_demands(self.demands, profile)
-            report.throughput_ops_s = cl.throughput_ops_s
-            report.mean_response_s = cl.mean_response_s
+            cl = closed_loop_throughput(self.demands, profile)
+            report.throughput_ops_s = cl["throughput_ops_s"]
+            report.mean_response_s = cl["mean_response_s"]
         # invariants last: the checkers reuse the real read/repair machinery,
         # which perturbs cost counters and emits its own scrub/read events --
         # so the metrics snapshot (per-op latency quantiles + span-fed phase

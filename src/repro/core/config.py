@@ -44,6 +44,10 @@ class StoreConfig:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if self.k + self.r > 256:
             raise ValueError(f"(k={self.k}, r={self.r}) exceeds GF(2^8) capacity")
+        if self.value_size < 1:
+            raise ValueError(f"value_size must be >= 1, got {self.value_size}")
+        if not 0 < self.payload_scale <= 1:
+            raise ValueError(f"payload_scale must be in (0, 1], got {self.payload_scale}")
         if self.chunk_size is None:
             self.chunk_size = self.value_size
         if self.value_size > self.chunk_size:

@@ -39,6 +39,17 @@ def test_k_r_bounds():
         StoreConfig(k=255, r=10)
 
 
+def test_value_size_must_be_positive():
+    with pytest.raises(ValueError, match="value_size"):
+        StoreConfig(value_size=0)
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, float("nan")])
+def test_payload_scale_outside_unit_interval_rejected(scale):
+    with pytest.raises(ValueError, match="payload_scale"):
+        StoreConfig(payload_scale=scale)
+
+
 def test_phys_chunk_size_scales():
     cfg = StoreConfig(value_size=4096, payload_scale=1 / 16)
     assert cfg.phys_chunk_size() == 256
